@@ -159,3 +159,37 @@ func BenchmarkInferInt8(b *testing.B) {
 		m.Predict(seq)
 	}
 }
+
+// BenchmarkInferServeShape measures one Predict at the shapes the server
+// runs: DefaultConfig (Dim 32, 4 heads, 2 layers, decoder hidden 64), a
+// label space of a few hundred pages and a 56-token plan, the longest of
+// the served templates. float and int8 run side by side so their ratio at
+// these shapes can be read off one run.
+func BenchmarkInferServeShape(b *testing.B) {
+	labels := make([]storage.PageID, 300)
+	for i := range labels {
+		labels[i] = pg(1, uint32(i))
+	}
+	seq := make([]int, 56)
+	for i := range seq {
+		seq[i] = i % 64
+	}
+	for _, c := range []struct {
+		name     string
+		quantize bool
+	}{{"float", false}, {"int8", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			m := New(64, labels, DefaultConfig())
+			if c.quantize {
+				m.Quantize()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = m.Predict(seq)
+			}
+		})
+	}
+}
+
+// benchSink keeps the benchmarked Predict calls from being optimised away.
+var benchSink []storage.PageID

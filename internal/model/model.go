@@ -11,6 +11,7 @@
 package model
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -94,6 +95,62 @@ func (c Config) withDefaults() Config {
 		c.Threshold = d.Threshold
 	}
 	return c
+}
+
+// Upper bounds Validate enforces. They sit far above any configuration this
+// repository trains (the paper's is Dim 100, DecoderHidden 800); they exist
+// so that a corrupted persisted configuration is rejected before it sizes
+// an allocation or a worker count.
+const (
+	maxDim     = 1 << 12
+	maxLayers  = 64
+	maxHidden  = 1 << 16
+	maxThreads = 1 << 10
+	maxVocab   = 1 << 20
+)
+
+// Validate reports whether New can build c: no negative sizes, and, with
+// defaults applied to zero fields, Dim divisible by Heads and every size
+// within its upper bound.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Dim", c.Dim}, {"Heads", c.Heads}, {"Layers", c.Layers}, {"FFHidden", c.FFHidden},
+		{"DecoderHidden", c.DecoderHidden}, {"Threads", c.Threads}} {
+		if f.v < 0 {
+			return fmt.Errorf("model: config %s %d is negative", f.name, f.v)
+		}
+	}
+	c = c.withDefaults()
+	switch {
+	case c.Dim > maxDim:
+		return fmt.Errorf("model: config Dim %d exceeds %d", c.Dim, maxDim)
+	case c.Dim%c.Heads != 0:
+		return fmt.Errorf("model: config Dim %d is not divisible by Heads %d", c.Dim, c.Heads)
+	case c.Layers > maxLayers:
+		return fmt.Errorf("model: config Layers %d exceeds %d", c.Layers, maxLayers)
+	case c.FFHidden > maxHidden || c.DecoderHidden > maxHidden:
+		return fmt.Errorf("model: config hidden widths %d/%d exceed %d", c.FFHidden, c.DecoderHidden, maxHidden)
+	case c.Threads > maxThreads:
+		return fmt.Errorf("model: config Threads %d exceeds %d", c.Threads, maxThreads)
+	}
+	return nil
+}
+
+// paramCount is the scalar parameter count New builds for a valid cfg, a
+// vocabulary of vocab tokens and labels outputs, computed from the shapes
+// alone (ParamCount of the built model, asserted by TestParamCountArithmetic).
+func paramCount(cfg Config, vocab, labels int) int {
+	cfg = cfg.withDefaults()
+	d, ff, h := cfg.Dim, cfg.FFHidden, cfg.DecoderHidden
+	if ff <= 0 {
+		ff = 4 * d
+	}
+	layer := 4*(d*d+d) + // attention projections
+		(d*ff + ff) + (ff*d + d) + // feed-forward block
+		4*d // two layer norms
+	return vocab*d + cfg.Layers*layer + (d*h + h) + (h*labels + labels)
 }
 
 // Sample is one training example: the encoded plan tokens and the pages the
@@ -232,7 +289,7 @@ func (m *Model) Predict(tokenIDs []int) []storage.PageID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.rt.Arena.Release()
-	logits := m.dec.Forward(m.enc.Forward(tokenIDs))
+	logits := m.dec.Forward(m.enc.Infer(tokenIDs))
 	var out []storage.PageID
 	for j, x := range logits.Data {
 		if nn.Sigmoid(x) >= m.cfg.Threshold {
@@ -243,13 +300,13 @@ func (m *Model) Predict(tokenIDs []int) []storage.PageID {
 }
 
 // PredictBatch runs inference for several token sequences in one pass. The
-// encoder handles each sequence independently (sequence lengths differ), but
-// the decoder — where a model's FLOPs live, via the wide per-page output
-// layer — sees all B representations as one B×Dim matrix, so its two
-// matmuls run at batch width. Each decoder output row is computed with the
-// same k-ascending accumulation order as the 1×Dim case, so results are
-// bitwise identical to calling Predict per sequence (asserted by
-// TestPredictBatchMatchesPredict).
+// encoder handles each sequence independently (sequence lengths differ);
+// at the served shapes it holds nearly all of a model's FLOPs, and the
+// decoder only about 1–2%. The decoder sees all B representations as one
+// B×Dim matrix, so its two matmuls run at batch width. Each decoder output
+// row is computed with the same k-ascending accumulation order as the 1×Dim
+// case, so results are bitwise identical to calling Predict per sequence
+// (asserted by TestPredictBatchMatchesPredict).
 func (m *Model) PredictBatch(seqs [][]int) [][]storage.PageID {
 	out := make([][]storage.PageID, len(seqs))
 	if len(seqs) == 0 {
@@ -263,7 +320,7 @@ func (m *Model) PredictBatch(seqs [][]int) [][]storage.PageID {
 	// recycle their scratch without touching it.
 	reps := m.rt.Arena.Get(len(seqs), m.cfg.Dim)
 	for i, ids := range seqs {
-		copy(reps.Row(i), m.enc.Forward(ids).Row(0))
+		copy(reps.Row(i), m.enc.Infer(ids).Row(0))
 	}
 	logits := m.dec.Forward(reps)
 	for i := range seqs {
@@ -301,7 +358,7 @@ func (m *Model) Scores(tokenIDs []int) []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.rt.Arena.Release()
-	logits := m.dec.Forward(m.enc.Forward(tokenIDs))
+	logits := m.dec.Forward(m.enc.Infer(tokenIDs))
 	out := make([]float64, len(logits.Data))
 	for i, x := range logits.Data {
 		out[i] = nn.Sigmoid(x)

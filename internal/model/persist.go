@@ -47,6 +47,22 @@ func Load(r io.Reader) (*Model, error) {
 	if len(state.Labels) == 0 {
 		return nil, fmt.Errorf("model: persisted model has empty label space")
 	}
+	// Check the architecture against the payload before New allocates it:
+	// a corrupted config must fail here, not panic in a constructor or
+	// size an allocation the snapshot's weights cannot fill.
+	if state.VocabSize < 1 || state.VocabSize > maxVocab {
+		return nil, fmt.Errorf("model: persisted vocabulary size %d outside [1, %d]", state.VocabSize, maxVocab)
+	}
+	if err := state.Cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("model: persisted config: %w", err)
+	}
+	stored := 0
+	for _, w := range state.Weights {
+		stored += len(w)
+	}
+	if want := paramCount(state.Cfg, state.VocabSize, len(state.Labels)); stored != want {
+		return nil, fmt.Errorf("model: persisted model has %d weights, its config needs %d", stored, want)
+	}
 	m := New(state.VocabSize, state.Labels, state.Cfg)
 	if err := nn.Restore(append(m.enc.Params(), m.dec.Params()...), state.Weights); err != nil {
 		return nil, fmt.Errorf("model: restoring weights: %w", err)

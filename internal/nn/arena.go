@@ -99,6 +99,19 @@ type Runtime struct {
 //pythia:noalloc
 func (rt Runtime) get(rows, cols int) *Mat { return rt.Arena.Get(rows, cols) }
 
+// rowsFrom returns rows [lo, Rows) of x: x itself when lo is 0, otherwise
+// a copy in a runtime-allocated matrix.
+//
+//pythia:noalloc
+func (rt Runtime) rowsFrom(x *Mat, lo int) *Mat {
+	if lo == 0 {
+		return x
+	}
+	out := rt.get(x.Rows-lo, x.Cols)
+	copy(out.Data, x.Data[lo*x.Cols:])
+	return out
+}
+
 // add returns a + b, allocated from the runtime and computed on the pool.
 //
 //pythia:noalloc

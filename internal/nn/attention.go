@@ -74,7 +74,7 @@ func (a *MHSA) Params() []*Param {
 	return out
 }
 
-// headViewInto copies the n×Dh slice of m for head h into dst.
+// headViewInto copies the Rows×Dh slice of m for head h into dst.
 func (a *MHSA) headViewInto(dst, m *Mat, h int) {
 	off := h * a.Dh
 	for i := 0; i < m.Rows; i++ {
@@ -82,7 +82,7 @@ func (a *MHSA) headViewInto(dst, m *Mat, h int) {
 	}
 }
 
-// headAccum adds src (n×Dh) into dst's columns for head h. Distinct heads
+// headAccum adds src (Rows×Dh) into dst's columns for head h. Distinct heads
 // touch disjoint column ranges, so concurrent head tasks may call this on
 // the same dst.
 func (a *MHSA) headAccum(dst, src *Mat, h int) {
@@ -96,17 +96,24 @@ func (a *MHSA) headAccum(dst, src *Mat, h int) {
 	}
 }
 
-// Forward computes self-attention over the n×D sequence x.
-func (a *MHSA) Forward(x *Mat) *Mat {
-	a.q = a.Wq.Forward(x)
+// Forward computes self-attention over the n×D sequence x for the query
+// rows [first, n) and returns their (n−first)×D output. Keys and values are
+// projected from every row — attention is bidirectional, so each output row
+// still sees the whole sequence — but queries, scores, the softmax, the
+// weighted sum and the output projection run only for the requested rows.
+// Every one of those steps is row-local with an unchanged per-element
+// accumulation order, so row i of Forward(x, first) is bitwise row
+// first+i of Forward(x, 0). Training passes first = 0; Backward requires it.
+func (a *MHSA) Forward(x *Mat, first int) *Mat {
+	a.q = a.Wq.Forward(a.rt.rowsFrom(x, first))
 	a.k = a.Wk.Forward(x)
 	a.v = a.Wv.Forward(x)
-	n := x.Rows
+	n, m := x.Rows, a.q.Rows
 	if cap(a.attn) < a.H {
 		a.attn = make([]*Mat, a.H)
 	}
 	a.attn = a.attn[:a.H]
-	a.concat = a.rt.get(n, a.D)
+	a.concat = a.rt.get(m, a.D)
 	scale := 1 / math.Sqrt(float64(a.Dh))
 	// Pre-allocate every head's scratch on the calling goroutine — the
 	// arena is single-owner, so worker tasks must not call Get. The pointer
@@ -119,38 +126,42 @@ func (a *MHSA) Forward(x *Mat) *Mat {
 	}
 	a.qh, a.kh, a.vh, a.oh = a.qh[:a.H], a.kh[:a.H], a.vh[:a.H], a.oh[:a.H]
 	for h := 0; h < a.H; h++ {
-		a.qh[h] = a.rt.get(n, a.Dh)
+		a.qh[h] = a.rt.get(m, a.Dh)
 		a.kh[h] = a.rt.get(n, a.Dh)
 		a.vh[h] = a.rt.get(n, a.Dh)
-		a.oh[h] = a.rt.get(n, a.Dh)
-		a.attn[h] = a.rt.get(n, n)
+		a.oh[h] = a.rt.get(m, a.Dh)
+		a.attn[h] = a.rt.get(m, n)
 	}
 	if a.rt.Pool.Threads() == 1 {
 		for h := 0; h < a.H; h++ {
-			a.forwardHead(h, n, scale)
+			a.forwardHead(h, m, scale)
 		}
 	} else {
-		a.rt.Pool.Run(a.H, func(h int) { a.forwardHead(h, n, scale) })
+		a.rt.Pool.Run(a.H, func(h int) { a.forwardHead(h, m, scale) })
 	}
 	return a.Wo.Forward(a.concat)
 }
 
-// forwardHead computes one head's attention into its scratch and accumulates
-// the result into the head's column block of concat — the Pool.Run task unit.
-func (a *MHSA) forwardHead(h, n int, scale float64) {
+// forwardHead computes one head's attention for the m query rows into its
+// scratch and accumulates the result into the head's column block of
+// concat — the Pool.Run task unit.
+func (a *MHSA) forwardHead(h, m int, scale float64) {
 	a.headViewInto(a.qh[h], a.q, h)
 	a.headViewInto(a.kh[h], a.k, h)
 	a.headViewInto(a.vh[h], a.v, h)
 	scores := a.attn[h]
-	matMulT2Rows(scores, a.qh[h], a.kh[h], 0, n)
+	matMulT2Rows(scores, a.qh[h], a.kh[h], 0, m)
 	scores.Scale(scale)
 	scores.SoftmaxRows()
-	matMulRows(a.oh[h], scores, a.vh[h], 0, n)
+	matMulRows(a.oh[h], scores, a.vh[h], 0, m)
 	a.headAccum(a.concat, a.oh[h], h)
 }
 
 // Backward propagates dY through the attention block and returns dX.
 func (a *MHSA) Backward(dy *Mat) *Mat {
+	if a.q.Rows != a.k.Rows {
+		panic("nn: MHSA.Backward after a forward that skipped query rows")
+	}
 	dConcat := a.Wo.Backward(dy)
 	n := dy.Rows
 	dq := a.rt.get(n, a.D)

@@ -79,9 +79,12 @@ func (e *EncoderLayer) Params() []*Param {
 	return out
 }
 
-// Forward runs the layer over an n×D sequence.
-func (e *EncoderLayer) Forward(x *Mat) *Mat {
-	h := e.LN1.Forward(e.rt.add(x, e.Attn.Forward(x)))
+// Forward runs the layer over an n×D sequence and returns the output rows
+// [first, n). The attention block still reads every row of x; the residual
+// adds, layer norms and feed-forward block are row-local, so they run on
+// the returned rows only. Training passes first = 0.
+func (e *EncoderLayer) Forward(x *Mat, first int) *Mat {
+	h := e.LN1.Forward(e.rt.add(e.rt.rowsFrom(x, first), e.Attn.Forward(x, first)))
 	return e.LN2.Forward(e.rt.add(h, e.FF.Forward(h)))
 }
 
@@ -102,7 +105,11 @@ type Encoder struct {
 	Layers []*EncoderLayer
 	D      int
 
-	rt         Runtime
+	rt  Runtime
+	pos posTable
+
+	// lastSeqLen is the length of the sequence the last full Forward
+	// encoded; 0 after Infer, whose pruned graph Backward cannot walk.
 	lastSeqLen int
 }
 
@@ -151,16 +158,36 @@ func (e *Encoder) Params() []*Param {
 	return out
 }
 
-// Forward encodes a token-id sequence into a 1×D query representation.
+// Forward encodes a token-id sequence into a 1×D query representation,
+// keeping every layer's activations for Backward (the training path).
 func (e *Encoder) Forward(ids []int) *Mat {
+	out := e.forward(ids, false)
+	e.lastSeqLen = len(ids)
+	return out
+}
+
+// Infer returns exactly what Forward does, bitwise, computing only what the
+// returned row depends on: every layer but the last runs in full, while the
+// last computes keys and values for all rows but queries, attention output,
+// residuals, layer norms and the feed-forward block for the final row only.
+// Backward must not follow Infer.
+func (e *Encoder) Infer(ids []int) *Mat {
+	e.lastSeqLen = 0
+	return e.forward(ids, true)
+}
+
+func (e *Encoder) forward(ids []int, lastOnly bool) *Mat {
 	if len(ids) == 0 {
 		panic("nn: encoding empty sequence")
 	}
-	e.lastSeqLen = len(ids)
 	x := e.Emb.Forward(ids)
-	AddPositional(x)
-	for _, l := range e.Layers {
-		x = l.Forward(x)
+	e.pos.add(x)
+	for i, l := range e.Layers {
+		first := 0
+		if lastOnly && i == len(e.Layers)-1 {
+			first = x.Rows - 1
+		}
+		x = l.Forward(x, first)
 	}
 	out := e.rt.get(1, e.D)
 	copy(out.Row(0), x.Row(x.Rows-1))
@@ -170,6 +197,9 @@ func (e *Encoder) Forward(ids []int) *Mat {
 // Backward propagates the 1×D representation gradient back through the
 // stack into the embedding table.
 func (e *Encoder) Backward(dRep *Mat) {
+	if e.lastSeqLen == 0 {
+		panic("nn: Encoder.Backward without a preceding Forward (Infer keeps no training graph)")
+	}
 	dx := e.rt.get(e.lastSeqLen, e.D)
 	copy(dx.Row(e.lastSeqLen-1), dRep.Row(0))
 	for i := len(e.Layers) - 1; i >= 0; i-- {

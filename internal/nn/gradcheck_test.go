@@ -136,9 +136,9 @@ func TestMHSAGradients(t *testing.T) {
 	r := sim.NewRand(3)
 	a := NewMHSA("t", 8, 2, r)
 	x := randMat(r, 5, 8)
-	loss := func() float64 { return scalarize(a.Forward(x)) }
+	loss := func() float64 { return scalarize(a.Forward(x, 0)) }
 
-	y := a.Forward(x)
+	y := a.Forward(x, 0)
 	for _, p := range a.Params() {
 		p.ZeroGrad()
 	}
@@ -170,9 +170,9 @@ func TestEncoderLayerGradients(t *testing.T) {
 	r := sim.NewRand(4)
 	layer := NewEncoderLayer("t", 8, 2, 16, r)
 	x := randMat(r, 4, 8)
-	loss := func() float64 { return scalarize(layer.Forward(x)) }
+	loss := func() float64 { return scalarize(layer.Forward(x, 0)) }
 
-	y := layer.Forward(x)
+	y := layer.Forward(x, 0)
 	for _, p := range layer.Params() {
 		p.ZeroGrad()
 	}

@@ -101,7 +101,7 @@ func BenchmarkAttention(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rt.Arena.Release()
-			a.Forward(x)
+			a.Forward(x, 0)
 			a.Backward(dy)
 		}
 	}

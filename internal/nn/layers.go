@@ -192,9 +192,13 @@ func (e *Embedding) Backward(dy *Mat) {
 // AddPositional adds sinusoidal position encodings (Vaswani et al.) to x in
 // place — "the serialized query tokens are first appended with sequence
 // information to be used by a transformer" (paper §5.1).
-func AddPositional(x *Mat) {
+func AddPositional(x *Mat) { addPositionalRows(x, 0, x.Rows) }
+
+// addPositionalRows adds the encodings of positions [lo, hi) to those rows
+// of x — the reference formula the cached table is filled from.
+func addPositionalRows(x *Mat, lo, hi int) {
 	d := x.Cols
-	for pos := 0; pos < x.Rows; pos++ {
+	for pos := lo; pos < hi; pos++ {
 		row := x.Row(pos)
 		for j := 0; j < d; j++ {
 			angle := float64(pos) / math.Pow(10000, float64(2*(j/2))/float64(d))
@@ -205,6 +209,37 @@ func AddPositional(x *Mat) {
 			}
 		}
 	}
+}
+
+// maxPosRows bounds the cached positional table: serialized plans are tens
+// of tokens, so the cap is never reached in practice, and positions past it
+// fall back to the formula rather than growing the table without limit.
+const maxPosRows = 1024
+
+// posTable caches the sinusoidal encodings of positions [0, Rows) at one
+// model dimension, so the encoder adds a table row instead of evaluating
+// pow/sin/cos per element on every forward. It grows on demand to the
+// longest sequence seen (up to maxPosRows). Each entry is the formula's
+// value added to zero, so x + table is bitwise x + formula.
+type posTable struct {
+	m *Mat
+}
+
+// add adds the positional encodings to x in place, like AddPositional.
+// After the table has grown to x's length, add allocates nothing.
+func (p *posTable) add(x *Mat) {
+	n := min(x.Rows, maxPosRows)
+	if p.m == nil || p.m.Rows < n || p.m.Cols != x.Cols {
+		p.m = NewMat(n, x.Cols)
+		AddPositional(p.m)
+	}
+	for i := 0; i < n; i++ {
+		row, enc := x.Row(i), p.m.Row(i)
+		for j := range row {
+			row[j] += enc[j]
+		}
+	}
+	addPositionalRows(x, n, x.Rows)
 }
 
 // LayerNorm normalizes each row to zero mean / unit variance, then applies a

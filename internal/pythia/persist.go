@@ -251,7 +251,7 @@ func (s *System) LoadWorkload(r io.Reader) (*Trained, error) {
 	}
 	pred, err := predictor.Load(bytes.NewReader(state.Predictor))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: workload %q: %w", ErrSnapshotCorrupt, state.Name, err)
 	}
 	tw := &Trained{
 		Name:      state.Name,

@@ -269,3 +269,31 @@ func TestPredictorUpdateImproves(t *testing.T) {
 		t.Fatalf("incremental update degraded accuracy: %.3f -> %.3f", before, after)
 	}
 }
+
+// TestLoadSystemUnloadablePredictorIsCorrupt: an intact frame whose
+// predictor payload cannot be loaded (undecodable bytes here; a corrupted
+// model config fails the same way, see model.TestLoadRejectsCorruptConfig)
+// is a damaged snapshot, so it surfaces as ErrSnapshotCorrupt — the typed
+// error the serve tier maps to 422 snapshot_corrupt.
+func TestLoadSystemUnloadablePredictorIsCorrupt(t *testing.T) {
+	s, _ := testSystem(t)
+	seal := func(v any) []byte {
+		t.Helper()
+		var payload, framed bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if err := sealEnvelope(&framed, payload.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		return framed.Bytes()
+	}
+	wl := seal(&persistedWorkload{Version: persistVersion, Name: "t91", Predictor: []byte("not a predictor")})
+	if _, err := s.LoadWorkload(bytes.NewReader(wl)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("LoadWorkload: %v, want ErrSnapshotCorrupt", err)
+	}
+	sys := seal(&persistedSystem{Version: persistVersion, Workloads: [][]byte{wl}})
+	if _, err := LoadSystem(s.DB, s.Config(), bytes.NewReader(sys)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("LoadSystem: %v, want ErrSnapshotCorrupt", err)
+	}
+}

@@ -246,7 +246,7 @@ func (m *Model) PredictFrom(seed []storage.PageID, n int) []storage.PageID {
 			window = window[len(window)-m.cfg.Context:]
 		}
 		m.rt.Arena.Release()
-		logits := m.head.Forward(m.enc.Forward(window))
+		logits := m.head.Forward(m.enc.Infer(window))
 		best, bestV := -1, math.Inf(-1)
 		for id := 1; id < len(logits.Data); id++ {
 			if emitted[id] {
