@@ -141,10 +141,18 @@ func (p Plan) IsZero() bool {
 		p.ReplicaRate == 0 && len(p.Windows) == 0
 }
 
-// Validate rejects rates outside [0, 1] and malformed windows.
+// maxLatencyMultiplier bounds Plan.LatencyMultiplier. A spiked read's
+// latency is base × multiplier converted back to a sim.Duration, and that
+// conversion is undefined (negative on amd64) once the product leaves the
+// int64 range; 1e6 keeps every base read up to two hours inside it.
+const maxLatencyMultiplier = 1e6
+
+// Validate rejects rates outside [0, 1] (NaN included), a latency
+// multiplier outside [0, maxLatencyMultiplier] (NaN and ±Inf included) and
+// malformed windows.
 func (p Plan) Validate() error {
 	check := func(name string, r float64) error {
-		if r < 0 || r > 1 {
+		if !(r >= 0 && r <= 1) {
 			return fmt.Errorf("fault: %s rate %g outside [0, 1]", name, r)
 		}
 		return nil
@@ -161,8 +169,8 @@ func (p Plan) Validate() error {
 			return err
 		}
 	}
-	if p.LatencyMultiplier < 0 {
-		return fmt.Errorf("fault: negative latency multiplier %g", p.LatencyMultiplier)
+	if !(p.LatencyMultiplier >= 0 && p.LatencyMultiplier <= maxLatencyMultiplier) {
+		return fmt.Errorf("fault: latency multiplier %g outside [0, %g]", p.LatencyMultiplier, maxLatencyMultiplier)
 	}
 	if p.ReplicaIndex < 0 {
 		return fmt.Errorf("fault: negative replica index %d", p.ReplicaIndex)
@@ -190,11 +198,12 @@ func (p Plan) Validate() error {
 //	exec=0.01,prefetch=0.05,latency=0.02,mult=8
 //	replica=1,replica-id=1
 //
-// An empty string parses to the zero (inject-nothing) plan. Scripted windows
-// have no CLI syntax; build the Plan in code for those.
+// An empty string, or "none" (what String renders for it), parses to the
+// zero (inject-nothing) plan. Scripted windows have no CLI syntax; build the
+// Plan in code for those.
 func ParsePlan(s string) (Plan, error) {
 	var p Plan
-	if strings.TrimSpace(s) == "" {
+	if t := strings.TrimSpace(s); t == "" || t == "none" {
 		return p, nil
 	}
 	for _, part := range strings.Split(s, ",") {

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -140,7 +141,14 @@ func TestParsePlanRoundTrip(t *testing.T) {
 	if empty, err := ParsePlan("  "); err != nil || !empty.IsZero() {
 		t.Fatalf("empty plan: %+v, %v", empty, err)
 	}
-	for _, bad := range []string{"exec", "exec=x", "bogus=0.1", "exec=1.5", "mult=-1"} {
+	if none, err := ParsePlan("none"); err != nil || !none.IsZero() {
+		t.Fatalf(`"none" plan: %+v, %v`, none, err)
+	}
+	// Non-finite values must not parse: a NaN rate compares false against
+	// both bounds, and a NaN, infinite or huge multiplier makes ReadLatency's
+	// float-to-Duration conversion undefined.
+	for _, bad := range []string{"exec", "exec=x", "bogus=0.1", "exec=1.5", "mult=-1",
+		"exec=NaN", "serve=nan", "mult=NaN", "mult=Inf", "mult=-Inf", "mult=1e300", "mult=1000001"} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Fatalf("ParsePlan(%q) did not error", bad)
 		}
@@ -216,6 +224,11 @@ func TestValidate(t *testing.T) {
 		{ReplicaRate: -0.5},
 		{ReplicaIndex: -1},
 		{LatencyMultiplier: -2},
+		{LatencyMultiplier: math.NaN()},
+		{LatencyMultiplier: math.Inf(1)},
+		{LatencyMultiplier: maxLatencyMultiplier * 2},
+		{ExecReadRate: math.NaN()},
+		{Windows: []Window{{Site: ExecRead, From: 0, To: 10, Rate: math.NaN()}}},
 		{Windows: []Window{{Site: SiteCount, From: 0, To: 10, Rate: 0.5}}},
 		{Windows: []Window{{Site: ExecRead, From: 10, To: 10, Rate: 0.5}}},
 		{Windows: []Window{{Site: ExecRead, From: 0, To: 10, Rate: 2}}},

@@ -164,7 +164,9 @@ func BenchmarkInferInt8(b *testing.B) {
 // runs: DefaultConfig (Dim 32, 4 heads, 2 layers, decoder hidden 64), a
 // label space of a few hundred pages and a 56-token plan, the longest of
 // the served templates. float and int8 run side by side so their ratio at
-// these shapes can be read off one run.
+// these shapes can be read off one run; float-threads1 pins the kernels to
+// one shard, so comparing it with float at -cpu 2 shows what sharding these
+// small matrices buys.
 func BenchmarkInferServeShape(b *testing.B) {
 	labels := make([]storage.PageID, 300)
 	for i := range labels {
@@ -176,10 +178,13 @@ func BenchmarkInferServeShape(b *testing.B) {
 	}
 	for _, c := range []struct {
 		name     string
+		threads  int
 		quantize bool
-	}{{"float", false}, {"int8", true}} {
+	}{{"float", 0, false}, {"float-threads1", 1, false}, {"int8", 0, true}} {
 		b.Run(c.name, func(b *testing.B) {
-			m := New(64, labels, DefaultConfig())
+			cfg := DefaultConfig()
+			cfg.Threads = c.threads
+			m := New(64, labels, cfg)
 			if c.quantize {
 				m.Quantize()
 			}

@@ -150,10 +150,10 @@ func (a *MHSA) forwardHead(h, m int, scale float64) {
 	a.headViewInto(a.kh[h], a.k, h)
 	a.headViewInto(a.vh[h], a.v, h)
 	scores := a.attn[h]
-	matMulT2Rows(scores, a.qh[h], a.kh[h], 0, m)
+	matMulT2Block(scores, a.qh[h], a.kh[h], 0, m, 0, scores.Cols)
 	scores.Scale(scale)
 	scores.SoftmaxRows()
-	matMulRows(a.oh[h], scores, a.vh[h], 0, m)
+	matMulBlock(a.oh[h], scores, a.vh[h], 0, m, 0, a.Dh)
 	a.headAccum(a.concat, a.oh[h], h)
 }
 
@@ -204,8 +204,8 @@ func (a *MHSA) backwardHead(h, n int, scale float64, dConcat, dq, dk, dv *Mat) {
 	a.headViewInto(s.vh, a.v, h)
 	attn := a.attn[h]
 
-	matMulT1Rows(s.dvh, attn, s.doh, 0, n)   // n×Dh
-	matMulT2Rows(s.dattn, s.doh, s.vh, 0, n) // n×n
+	matMulT1Rows(s.dvh, attn, s.doh, 0, n)          // n×Dh
+	matMulT2Block(s.dattn, s.doh, s.vh, 0, n, 0, n) // n×n
 	// Softmax backward, row-wise: dS = A ⊙ (dA − Σⱼ dAⱼAⱼ).
 	for i := 0; i < n; i++ {
 		arow := attn.Row(i)
@@ -220,8 +220,8 @@ func (a *MHSA) backwardHead(h, n int, scale float64, dConcat, dq, dk, dv *Mat) {
 		}
 	}
 	s.dscores.Scale(scale)
-	matMulRows(s.dqh, s.dscores, s.kh, 0, n)   // n×Dh
-	matMulT1Rows(s.dkh, s.dscores, s.qh, 0, n) // n×Dh
+	matMulBlock(s.dqh, s.dscores, s.kh, 0, n, 0, a.Dh) // n×Dh
+	matMulT1Rows(s.dkh, s.dscores, s.qh, 0, n)         // n×Dh
 	a.headAccum(dq, s.dqh, h)
 	a.headAccum(dk, s.dkh, h)
 	a.headAccum(dv, s.dvh, h)

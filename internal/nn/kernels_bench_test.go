@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/sim"
@@ -34,7 +36,7 @@ func BenchmarkMatMul(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			matMulRows(dst, x, w, 0, x.Rows)
+			matMulBlock(dst, x, w, 0, x.Rows, 0, w.Cols)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
@@ -74,7 +76,7 @@ func BenchmarkMatMulT2(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			matMulT2Rows(dst, dy, w, 0, dy.Rows)
+			matMulT2Block(dst, dy, w, 0, dy.Rows, 0, w.Rows)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
@@ -84,6 +86,41 @@ func BenchmarkMatMulT2(b *testing.B) {
 			p.MatMulT2Into(dst, dy, w)
 		}
 	})
+}
+
+// BenchmarkMatMulShard locates the serial-vs-sharded crossover of
+// MatMulInto at the shapes the server runs (contraction 32, the model
+// width): serial runs the kernel on one goroutine, sharded forces the
+// two-way fan-out MatMulInto would pick above parallelMinWork (row shards,
+// or column shards for the single-row shapes). The work metric is the
+// multiply-add count parallelMinWork is compared against. Run at -cpu 2.
+func BenchmarkMatMulShard(b *testing.B) {
+	const k = 32
+	for _, rows := range []int{1, 56} {
+		for _, cols := range []int{32, 128, 300} {
+			r := sim.NewRand(8)
+			x, w, dst := randMat(r, rows, k), randMat(r, k, cols), NewMat(rows, cols)
+			shape := fmt.Sprintf("%dx%dx%d", rows, k, cols)
+			work := float64(rows * k * cols)
+			b.Run(shape+"/serial", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					matMulBlock(dst, x, w, 0, rows, 0, cols)
+				}
+				b.ReportMetric(work, "work")
+			})
+			b.Run(shape+"/sharded", func(b *testing.B) {
+				p := NewPool(2)
+				for i := 0; i < b.N; i++ {
+					if rows >= 2 {
+						p.shard(rows, math.MaxInt, func(lo, hi int) { matMulBlock(dst, x, w, lo, hi, 0, cols) })
+					} else {
+						p.shard(cols, math.MaxInt, func(lo, hi int) { matMulBlock(dst, x, w, 0, rows, lo, hi) })
+					}
+				}
+				b.ReportMetric(work, "work")
+			})
+		}
+	}
 }
 
 // BenchmarkAttention measures a full MHSA forward+backward at an
@@ -109,49 +146,8 @@ func BenchmarkAttention(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { run(b, 0) })
 }
 
-// matMulRowsSkip is the seed kernel's inner loop with the av == 0 skip
-// branch, retained here only so BenchmarkMatMulSkip can document why the
-// dense kernels dropped it (see the header comment in kernels.go).
-func matMulRowsSkip(dst, a, b *Mat, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := a.Row(i)
-		orow := dst.Row(i)
-		for j := range orow {
-			orow[j] = 0
-		}
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
-// BenchmarkMatMulSkip compares the skip-branch kernel against the straight
-// kernel on fully dense activations — the post-embedding reality of every
-// matmul call site in the model. The branch costs a compare per k on inputs
-// that are never zero, which is why MatMul/MatMulT1 no longer carry it.
-func BenchmarkMatMulSkip(b *testing.B) {
-	r := sim.NewRand(5)
-	x, w, dst := benchMats(r) // dense: randMat never produces exact zeros
-	b.Run("skip", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			matMulRowsSkip(dst, x, w, 0, x.Rows)
-		}
-	})
-	b.Run("noskip", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			matMulRows(dst, x, w, 0, x.Rows)
-		}
-	})
-}
-
-// accumT1RowsNoSkip is AccumT1Into's kernel without the zero skip, for the
-// sparse comparison below.
+// accumT1RowsNoSkip is a plain scalar dst += aᵀ @ b loop with no zero
+// skip, the dense baseline for the sparse comparison below.
 func accumT1RowsNoSkip(dst, a, b *Mat, ilo, ihi int) {
 	for i := ilo; i < ihi; i++ {
 		orow := dst.Row(i)
@@ -167,8 +163,8 @@ func accumT1RowsNoSkip(dst, a, b *Mat, ilo, ihi int) {
 
 // BenchmarkAccumT1Sparse justifies keeping the skip in AccumT1Into: the
 // activation feeding the decoder-head weight gradient is ReLU output, where
-// roughly half the entries are exactly zero, and each skipped entry saves a
-// whole 4096-wide row walk.
+// roughly half the entries are exactly zero, and each skipped entry drops
+// its b row from every column strip of the output row.
 func BenchmarkAccumT1Sparse(b *testing.B) {
 	r := sim.NewRand(6)
 	x := randMat(r, benchK, benchM)

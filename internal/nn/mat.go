@@ -67,23 +67,18 @@ func shapeCheck(cond bool, op string, a, b *Mat) {
 	}
 }
 
-// MatMul returns a @ b. This is the serial reference implementation the
-// parallel kernels (Pool.MatMulInto) are golden-tested against; the hot
-// paths use the destination-passing variants in kernels.go.
+// MatMul returns a @ b, computed serially by the same kernel the pool
+// shards. The bitwise contract of every matmul form is checked against
+// independent naive loops in TestKernelsMatchNaiveReference.
 func MatMul(a, b *Mat) *Mat {
 	shapeCheck(a.Cols == b.Rows, "matmul", a, b)
 	out := NewMat(a.Rows, b.Cols)
-	// i-k-j loop order: the inner loop walks both b and out rows
-	// contiguously, which matters for the decoder's wide output layer.
-	// No zero-skip: post-embedding activations are dense, and the branch
-	// only costs on dense inputs (BenchmarkMatMulSkip).
-	matMulRows(out, a, b, 0, a.Rows)
+	matMulBlock(out, a, b, 0, a.Rows, 0, b.Cols)
 	return out
 }
 
-// MatMulT1 returns aᵀ @ b (used for weight gradients: dW = Xᵀ dY). Serial
-// reference for Pool.MatMulT1Into; shares the restructured output-row-major
-// loop so the two are bitwise identical by construction.
+// MatMulT1 returns aᵀ @ b (used for weight gradients: dW = Xᵀ dY),
+// computed serially by Pool.MatMulT1Into's kernel.
 func MatMulT1(a, b *Mat) *Mat {
 	shapeCheck(a.Rows == b.Rows, "matmulT1", a, b)
 	out := NewMat(a.Cols, b.Cols)
@@ -91,12 +86,12 @@ func MatMulT1(a, b *Mat) *Mat {
 	return out
 }
 
-// MatMulT2 returns a @ bᵀ (used for input gradients: dX = dY Wᵀ). Serial
-// reference for Pool.MatMulT2Into.
+// MatMulT2 returns a @ bᵀ (used for input gradients: dX = dY Wᵀ), computed
+// serially by Pool.MatMulT2Into's kernel.
 func MatMulT2(a, b *Mat) *Mat {
 	shapeCheck(a.Cols == b.Cols, "matmulT2", a, b)
 	out := NewMat(a.Rows, b.Rows)
-	matMulT2Rows(out, a, b, 0, a.Rows)
+	matMulT2Block(out, a, b, 0, a.Rows, 0, b.Rows)
 	return out
 }
 

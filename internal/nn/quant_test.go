@@ -165,7 +165,7 @@ func BenchmarkMatMulQ8(b *testing.B) {
 	x, qx, scales, w, qw, dst := benchQuantOperands(1)
 	b.Run("float-serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			matMulRows(dst, x, w, 0, x.Rows)
+			matMulBlock(dst, x, w, 0, x.Rows, 0, w.Cols)
 		}
 	})
 	b.Run("q8-serial", func(b *testing.B) {
