@@ -306,7 +306,10 @@ func (m *Model) Predict(tokenIDs []int) []storage.PageID {
 // B×Dim matrix, so its two matmuls run at batch width. Each decoder output
 // row is computed with the same k-ascending accumulation order as the 1×Dim
 // case, so results are bitwise identical to calling Predict per sequence
-// (asserted by TestPredictBatchMatchesPredict).
+// (asserted by TestPredictBatchMatchesPredict). The serve tier does not use
+// it — batching the decoder alone never paid for the wait to assemble a batch
+// (DESIGN.md "Why there is no micro-batcher") — but the benchmark times it
+// per row as model.batch_row_us.
 func (m *Model) PredictBatch(seqs [][]int) [][]storage.PageID {
 	out := make([][]storage.PageID, len(seqs))
 	if len(seqs) == 0 {

@@ -140,12 +140,8 @@ const (
 	PredCacheMiss
 	// PredCacheEvict: a cached prediction was evicted at capacity.
 	PredCacheEvict
-	// InferenceRun: one model-path inference completed for a request
-	// (whether it ran solo or inside a batch).
+	// InferenceRun: one model-path inference completed for a request.
 	InferenceRun
-	// InferenceBatched: the inference ran as part of a multi-request batched
-	// forward pass (a strict subset of InferenceRun).
-	InferenceBatched
 	// ReplicaDegraded: a pool replica's sliding error window crossed the
 	// degraded threshold; it keeps serving but is one step from quarantine.
 	ReplicaDegraded
@@ -217,7 +213,6 @@ var kindNames = [KindCount]string{
 	PredCacheMiss:         "predcache_miss",
 	PredCacheEvict:        "predcache_evict",
 	InferenceRun:          "inference_run",
-	InferenceBatched:      "inference_batched",
 	ReplicaDegraded:       "replica_degraded",
 	ReplicaQuarantined:    "replica_quarantined",
 	ReplicaProbe:          "replica_probe",

@@ -1,7 +1,6 @@
 package predictor
 
 import (
-	"reflect"
 	"testing"
 
 	"github.com/pythia-db/pythia/internal/plan"
@@ -60,29 +59,9 @@ func TestEncodePlanFingerprint(t *testing.T) {
 	}
 }
 
-// TestPredictBatchMatchesPredictParallel: the batched entry point must
-// return, for every plan, exactly what the single-plan path returns —
-// including duplicated plans within one batch.
-func TestPredictBatchMatchesPredictParallel(t *testing.T) {
-	p, roots := trainedFixture(t)
-	got := p.PredictBatch(roots)
-	if len(got) != len(roots) {
-		t.Fatalf("PredictBatch returned %d results for %d plans", len(got), len(roots))
-	}
-	for i, root := range roots {
-		want := p.PredictParallel(root)
-		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("plan %d: batch %v vs single %v", i, got[i], want)
-		}
-	}
-	if r := p.PredictBatch(nil); len(r) != 0 {
-		t.Fatalf("empty batch returned %v", r)
-	}
-}
-
 // TestQuantizedPredictorAgreement: quantizing the whole predictor keeps
 // per-plan prediction sets within the pinned agreement budget of the float
-// path (and stays consistent between batch and single entry points).
+// path.
 func TestQuantizedPredictorAgreement(t *testing.T) {
 	p, roots := trainedFixture(t)
 	floatPreds := make(map[int]int) // plan → float set size (for sanity)
@@ -113,8 +92,4 @@ func TestQuantizedPredictorAgreement(t *testing.T) {
 			agreement, len(want), len(got))
 	}
 
-	batch := p.PredictBatch(roots[:1])
-	if !reflect.DeepEqual(batch[0], got) {
-		t.Fatal("quantized batch result differs from quantized single result")
-	}
 }

@@ -54,33 +54,78 @@ func sealEnvelope(w io.Writer, payload []byte) error {
 	return err
 }
 
-// openEnvelope reads a frame written by sealEnvelope and returns the verified
-// payload. Every failure mode — short read, wrong magic, truncated payload,
-// trailing garbage, checksum mismatch — wraps ErrSnapshotCorrupt.
-func openEnvelope(r io.Reader) ([]byte, error) {
-	var hdr [16]byte
+// MaxSnapshotBytes caps the payload length a snapshot header may declare.
+// A header above it is rejected before any payload byte is read, and the
+// payload is read through a limit sized from the declared length, so neither
+// a lying header nor an endless stream can grow memory past the cap. 1 GiB
+// leaves room for paper-size models while bounding what one reload can
+// allocate.
+const MaxSnapshotBytes = 1 << 30
+
+// envelopeHeader is the frame's magic plus length prefix; envelopeFooter is
+// its trailing CRC-32.
+const (
+	envelopeHeader = 16
+	envelopeFooter = 4
+)
+
+// readEnvelope reads one frame written by sealEnvelope and returns the whole
+// frame together with its verified payload (a subslice of frame). Every
+// failure mode — short read, wrong magic, a declared length above
+// MaxSnapshotBytes, truncated payload, trailing garbage, checksum mismatch —
+// wraps ErrSnapshotCorrupt.
+func readEnvelope(r io.Reader) (frame, payload []byte, err error) {
+	var hdr [envelopeHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: truncated header: %v", ErrSnapshotCorrupt, err)
+		return nil, nil, fmt.Errorf("%w: truncated header: %v", ErrSnapshotCorrupt, err)
 	}
 	if !bytes.Equal(hdr[:8], snapMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrSnapshotCorrupt, hdr[:8])
+		return nil, nil, fmt.Errorf("%w: bad magic %q", ErrSnapshotCorrupt, hdr[:8])
 	}
 	want := binary.BigEndian.Uint64(hdr[8:])
-	// Read what is actually there rather than trusting the declared length
-	// with an allocation, so a corrupted length field cannot balloon memory.
-	rest, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading payload: %v", ErrSnapshotCorrupt, err)
+	if want > MaxSnapshotBytes {
+		return nil, nil, fmt.Errorf("%w: header declares %d payload bytes, above the %d-byte cap", ErrSnapshotCorrupt, want, MaxSnapshotBytes)
 	}
-	if uint64(len(rest)) != want+4 {
-		return nil, fmt.Errorf("%w: payload %d bytes, header declares %d", ErrSnapshotCorrupt, len(rest), want+4)
+	// Read one byte past the declared payload and footer, so trailing bytes
+	// are detected without reading on; the buffer grows with what actually
+	// arrives rather than trusting the declared length with an allocation.
+	rest := int64(want) + envelopeFooter
+	var buf bytes.Buffer
+	buf.Grow(envelopeHeader + int(min(rest, 64<<10)))
+	buf.Write(hdr[:])
+	if _, err := buf.ReadFrom(io.LimitReader(r, rest+1)); err != nil {
+		return nil, nil, fmt.Errorf("%w: reading payload: %v", ErrSnapshotCorrupt, err)
 	}
-	payload := rest[:want]
-	sum := binary.BigEndian.Uint32(rest[want:])
+	frame = buf.Bytes()
+	if got := int64(len(frame) - envelopeHeader); got != rest {
+		if got > rest {
+			return nil, nil, fmt.Errorf("%w: trailing bytes after the %d bytes the header declares", ErrSnapshotCorrupt, rest)
+		}
+		return nil, nil, fmt.Errorf("%w: payload %d bytes, header declares %d", ErrSnapshotCorrupt, got, rest)
+	}
+	payload = frame[envelopeHeader : envelopeHeader+want]
+	sum := binary.BigEndian.Uint32(frame[envelopeHeader+want:])
 	if got := crc32.ChecksumIEEE(payload); got != sum {
-		return nil, fmt.Errorf("%w: checksum %08x, footer says %08x", ErrSnapshotCorrupt, got, sum)
+		return nil, nil, fmt.Errorf("%w: checksum %08x, footer says %08x", ErrSnapshotCorrupt, got, sum)
 	}
-	return payload, nil
+	return frame, payload, nil
+}
+
+// openEnvelope reads a frame written by sealEnvelope and returns the verified
+// payload; see readEnvelope.
+func openEnvelope(r io.Reader) ([]byte, error) {
+	_, payload, err := readEnvelope(r)
+	return payload, err
+}
+
+// ReadSnapshot reads one snapshot bundle from r under the same bounds and
+// checks LoadSystem applies, and returns its bytes, ready to be loaded any
+// number of times through bytes.NewReader — the serve tier's replica pool
+// reads a swap's snapshot once and decodes one clone per replica from it.
+// Damage wraps ErrSnapshotCorrupt.
+func ReadSnapshot(r io.Reader) ([]byte, error) {
+	frame, _, err := readEnvelope(r)
+	return frame, err
 }
 
 // persistedWorkload is the on-disk form of one trained workload: its name,

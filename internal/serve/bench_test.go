@@ -64,7 +64,6 @@ type serveBenchResult struct {
 	CacheHits     uint64  `json:"cache_hits"`
 	CacheMisses   uint64  `json:"cache_misses"`
 	Inferences    uint64  `json:"inferences"`
-	Batched       uint64  `json:"batched_requests"`
 }
 
 // serveBenchReport is the whole BENCH_serve.json document.
@@ -84,8 +83,8 @@ var serveBenchResults []serveBenchResult
 // BenchmarkServePredict drives a real HTTP server (httptest.NewServer, so
 // the full mux, instrumentation, and JSON round trip are on the clock) at
 // fixed concurrency with a repeated-plan workload — the DSB steady state the
-// prediction cache exists for. Two modes: the uncached/unbatched baseline and
-// the default fast path. After both run, the comparison is written to
+// prediction cache exists for. Two modes: uncached (every request runs
+// inference) and the default, with the prediction cache. After both run, the comparison is written to
 // BENCH_serve.json (override the path with BENCH_SERVE_OUT).
 func BenchmarkServePredict(b *testing.B) {
 	sys, w := benchSystem(b)
@@ -95,7 +94,7 @@ func BenchmarkServePredict(b *testing.B) {
 		name string
 		opts Options
 	}{
-		{"uncached", Options{CacheEntries: -1, BatchWindow: -1}},
+		{"uncached", Options{CacheEntries: -1}},
 		{"cached", Options{}},
 	}
 	serveBenchResults = serveBenchResults[:0]
@@ -174,7 +173,6 @@ func BenchmarkServePredict(b *testing.B) {
 				CacheHits:     snap.Get(obs.PredCacheHit),
 				CacheMisses:   snap.Get(obs.PredCacheMiss),
 				Inferences:    snap.Get(obs.InferenceRun),
-				Batched:       snap.Get(obs.InferenceBatched),
 			}
 			b.ReportMetric(res.ThroughputRPS, "req/s")
 			b.ReportMetric(res.P50MS, "p50-ms")

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -348,9 +349,9 @@ func TestSwapRollbackOnReplicaBuildFault(t *testing.T) {
 	}
 }
 
-// TestAdminReloadCorruptSnapshot pins the satellite contract: reloading from
-// a truncated or zero-length snapshot answers a typed 422 envelope and the
-// old generation keeps serving.
+// TestAdminReloadCorruptSnapshot: reloading from a truncated, zero-length or
+// oversized-header snapshot answers a typed 422 envelope and the old
+// generation keeps serving.
 func TestAdminReloadCorruptSnapshot(t *testing.T) {
 	base, w := testServer(t)
 	dir := t.TempDir()
@@ -370,11 +371,19 @@ func TestAdminReloadCorruptSnapshot(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A header declaring 2^40 payload bytes: rejected before the payload is
+	// read, whatever follows.
+	oversized := filepath.Join(dir, "oversized.snap")
+	hdr := append([]byte{}, buf.Bytes()[:8]...)
+	hdr = binary.BigEndian.AppendUint64(hdr, 1<<40)
+	if err := os.WriteFile(oversized, append(hdr, buf.Bytes()[16:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	srv := mustServer(t, base.db, fixtureSys, NewMetrics(nil), Options{Replicas: 2, SnapshotPath: good})
 	t.Cleanup(srv.Close)
 
-	for _, path := range []string{truncated, empty} {
+	for _, path := range []string{truncated, empty, oversized} {
 		rr := doRequest(t, srv, http.MethodPost, "/v1/admin/reload",
 			strings.NewReader(`{"path":`+jsonQuote(path)+`}`))
 		if rr.Code != http.StatusUnprocessableEntity {

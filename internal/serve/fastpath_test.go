@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/pythia-db/pythia/internal/dsb"
 	"github.com/pythia-db/pythia/internal/model"
@@ -19,7 +18,7 @@ import (
 )
 
 // fastServer builds a server sharing the fixture's trained system but with
-// its own metrics, cache, and batcher, so fast-path tests see clean counters.
+// its own metrics and cache, so fast-path tests see clean counters.
 func fastServer(t *testing.T, opts Options) (*Server, *workload.Workload) {
 	t.Helper()
 	base, w := testServer(t)
@@ -170,10 +169,10 @@ func TestCacheEvictionAtCapacity(t *testing.T) {
 	}
 }
 
-// TestShedDoesNotPoisonBatch: a shed request must be refused before it
-// reaches the miss path — nothing enqueued on the batcher, nothing stored in
-// the cache — and the next admitted request must answer normally.
-func TestShedDoesNotPoisonBatch(t *testing.T) {
+// TestShedDoesNotPoisonCache: a shed request must be refused before it
+// reaches the miss path — nothing stored in the cache, no inference run —
+// and the next admitted request must answer normally.
+func TestShedDoesNotPoisonCache(t *testing.T) {
 	srv, w := fastServer(t, Options{MaxInFlight: 1})
 	srv.inflight.Add(1) // saturate the only slot
 	body := specBody(t, spec.FromQuery(w.Instances[0].Query))
@@ -184,11 +183,8 @@ func TestShedDoesNotPoisonBatch(t *testing.T) {
 	if n := srv.inst().cache.len(); n != 0 {
 		t.Fatalf("shed request left %d cache entries", n)
 	}
-	if n := srv.inst().missInflight.Load(); n != 0 {
-		t.Fatalf("shed request left missInflight=%d", n)
-	}
-	if b := srv.inst().batcher.batches.Load(); b != 0 {
-		t.Fatalf("shed request dispatched %d batches", b)
+	if snap := srv.metrics.Events().Snapshot(); snap.Get(obs.InferenceRun) != 0 {
+		t.Fatalf("shed request ran %d inferences", snap.Get(obs.InferenceRun))
 	}
 	srv.inflight.Add(-1)
 	if resp := predictOK(t, srv, w, 0); resp.Fallback || resp.Cached {
@@ -196,54 +192,53 @@ func TestShedDoesNotPoisonBatch(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesDirect: requests coalesced into one batched forward pass
-// must answer exactly what the unbatched path answers for the same plans
-// (the kernels are bitwise deterministic at any batch width).
-func TestBatchedMatchesDirect(t *testing.T) {
-	direct, w := fastServer(t, Options{BatchWindow: -1})
-	batched, _ := fastServer(t, Options{BatchWindow: 50 * time.Millisecond, MaxBatch: 4})
-	insts := distinctInstances(t, direct, w, 4)
-
-	want := map[int][]pageJSON{}
-	for _, i := range insts {
-		want[i] = predictOK(t, direct, w, i).Pages
+// TestConcurrentMissesMatchDirect: distinct plans posted at the same moment
+// each run their own inference at once and answer exactly the single-plan
+// reference, LimitPrefetch(Pred.PredictParallel(root)). Run under -race this
+// also checks that concurrent forward passes on one model share nothing
+// unsynchronized.
+func TestConcurrentMissesMatchDirect(t *testing.T) {
+	srv, w := fastServer(t, Options{})
+	const n = 6
+	insts := distinctInstances(t, srv, w, n)
+	pl := plan.NewPlanner(srv.db)
+	want := make([][]pageJSON, n)
+	for k, i := range insts {
+		q := w.Instances[i].Query
+		root, err := pl.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = expectedPages(t, srv, fixtureSys, q, root)
 	}
+	snap := srv.metrics.Events().Snapshot()
+	before := snap.Get(obs.InferenceRun)
 
-	// Hold an artificial miss in flight so every concurrent request routes to
-	// the batcher instead of the direct path.
-	batched.inst().missInflight.Add(1)
+	start := make(chan struct{})
+	got := make([]predictResponse, n)
 	var wg sync.WaitGroup
-	got := make([]predictResponse, len(insts))
 	for k, i := range insts {
 		wg.Add(1)
 		go func(k, i int) {
 			defer wg.Done()
-			got[k] = predictOK(t, batched, w, i)
+			<-start
+			got[k] = predictOK(t, srv, w, i)
 		}(k, i)
 	}
+	close(start)
 	wg.Wait()
-	batched.inst().missInflight.Add(-1)
 
 	for k, i := range insts {
-		if got[k].Cached {
-			t.Fatalf("instance %d: batched first request claims cache hit", i)
+		if got[k].Cached || got[k].Fallback {
+			t.Fatalf("instance %d: first request not a model answer: %+v", i, got[k])
 		}
-		if !reflect.DeepEqual(got[k].Pages, want[i]) {
-			t.Fatalf("instance %d: batched %v, want direct %v", i, got[k].Pages, want[i])
+		if !reflect.DeepEqual(got[k].Pages, want[k]) {
+			t.Fatalf("instance %d: concurrent miss %v, want %v", i, got[k].Pages, want[k])
 		}
 	}
-	if b := batched.inst().batcher.batches.Load(); b == 0 {
-		t.Fatal("no multi-request batch dispatched")
-	}
-	if n := batched.inst().batcher.batched.Load(); n < 2 {
-		t.Fatalf("only %d requests batched, want >=2", n)
-	}
-	snap := batched.metrics.Events().Snapshot()
-	if snap.Get(obs.InferenceBatched) < 2 {
-		t.Fatalf("inference_batched=%d, want >=2", snap.Get(obs.InferenceBatched))
-	}
-	if snap.Get(obs.InferenceRun) != uint64(len(insts)) {
-		t.Fatalf("inference_run=%d, want %d", snap.Get(obs.InferenceRun), len(insts))
+	snap = srv.metrics.Events().Snapshot()
+	if runs := snap.Get(obs.InferenceRun) - before; runs != n {
+		t.Fatalf("inference_run grew by %d, want %d", runs, n)
 	}
 }
 

@@ -25,7 +25,7 @@ type baseliner interface {
 // Inferencer is the seam between the HTTP surface and the model tier. The
 // Server decodes and plans requests, applies global shedding and timeouts,
 // and renders responses; everything that touches a trained model — matching,
-// caching, batching, the circuit breaker, and inference itself — happens
+// caching, the circuit breaker, and inference itself — happens
 // behind this interface. Two production implementations exist: Single (one
 // model instance, the pre-pool deployment shape) and Pool (N independent
 // replicas behind a consistent-hash router). Tests stub it to exercise the
@@ -35,10 +35,6 @@ type Inferencer interface {
 	// HTTP statuses in the Server: ErrSaturated → 503, errModelFault → 500,
 	// context.DeadlineExceeded → 504, context.Canceled → 499.
 	Predict(ctx context.Context, q plan.Query, root *plan.Node) (Prediction, error)
-	// PredictBatch answers many queries concurrently (each routed
-	// independently, so a pool spreads the batch across replicas and each
-	// replica's micro-batcher coalesces what lands together).
-	PredictBatch(ctx context.Context, qs []plan.Query, roots []*plan.Node) ([]Prediction, error)
 	// Explain renders a plan without running inference.
 	Explain(root *plan.Node) Explanation
 	// Workloads returns the trained workloads of the serving view (for a
@@ -49,12 +45,11 @@ type Inferencer interface {
 	Status() InfStatus
 	// Swap is the zero-downtime model-swap hook: it loads a pythia.System
 	// snapshot (see pythia.System.Save) into a standby generation, warms it
-	// on recently served plans, atomically swings the serving pointer, and
-	// drains the superseded generation in the background. Requests in flight
-	// during the swap complete on the generation that admitted them.
+	// on recently served plans, and atomically swings the serving pointer.
+	// Requests in flight during the swap complete on the generation they
+	// loaded; the superseded generation holds no goroutines, so it is simply
+	// collected once they finish.
 	Swap(r io.Reader) error
-	// Close tears down background machinery (micro-batch collectors).
-	Close()
 }
 
 // Prediction is the outcome of one routed inference.
@@ -129,8 +124,6 @@ type ReplicaStatus struct {
 	CacheHits      uint64   `json:"cache_hits"`
 	CacheMisses    uint64   `json:"cache_misses"`
 	CacheEvictions uint64   `json:"cache_evictions"`
-	Batches        uint64   `json:"batches"`
-	BatchedReqs    uint64   `json:"batched_requests"`
 	Workloads      []string `json:"workloads"`
 	Params         int      `json:"params"`
 
@@ -268,28 +261,6 @@ func (w *warmer) snapshot() []warmEntry {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return append([]warmEntry(nil), w.entries...)
-}
-
-// predictAll fans qs across Predict concurrently and returns the first error
-// (all predictions still complete).
-func predictAll(ctx context.Context, inf Inferencer, qs []plan.Query, roots []*plan.Node) ([]Prediction, error) {
-	out := make([]Prediction, len(qs))
-	errs := make([]error, len(qs))
-	var wg sync.WaitGroup
-	for i := range qs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i], errs[i] = inf.Predict(ctx, qs[i], roots[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }
 
 // workloadNames lists a system's trained workload names for status rows.

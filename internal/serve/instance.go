@@ -28,11 +28,11 @@ const qualityWindowSize = 512
 const serveDriftEvalEvery = 64
 
 // instance is one serving replica: an independent trained system with its
-// own prediction cache, micro-batcher, circuit breaker, and bounded work
-// queue. Replicas share nothing but the metrics hub, the fault gate, and the
-// warm set — each holds its own model weights (clones decoded from one
-// snapshot), so inference on different replicas runs truly in parallel
-// instead of serializing on one model's mutex.
+// own prediction cache, circuit breaker, and bounded work queue. Replicas
+// share nothing but the metrics hub, the fault gate, and the warm set — each
+// holds its own model weights (clones decoded from one snapshot), so
+// inference on different replicas runs truly in parallel instead of
+// serializing on one model's mutex.
 type instance struct {
 	id   int
 	gen  uint64
@@ -43,12 +43,11 @@ type instance struct {
 	fgate   *faultGate
 	warm    *warmer
 
-	// cache and batcher are the PR-6 inference fast path, now per replica:
-	// consistent-hash routing sends a plan fingerprint to the same replica
-	// every time, so each replica's cache holds a disjoint hot set instead of
-	// N copies of the same entries. Either may be nil when disabled.
+	// cache is the per-replica prediction cache: consistent-hash routing
+	// sends a plan fingerprint to the same replica every time, so each
+	// replica's cache holds a disjoint hot set instead of N copies of the
+	// same entries. Nil when disabled.
 	cache   *predCache
-	batcher *batcher
 	breaker *breaker
 
 	// health is the replica's self-healing state machine (see health.go):
@@ -71,15 +70,9 @@ type instance struct {
 	qwin *quality.Window
 	qmon *quality.Monitor
 
-	// missInflight counts requests currently on the miss (inference) path;
-	// a miss only routes to the batcher when others are already inferring,
-	// so an idle replica's p50 never pays the batch window.
-	missInflight atomic.Int64
-	inflight     atomic.Int64
-	served       atomic.Uint64
-	shed         atomic.Uint64
-
-	closeOnce sync.Once
+	inflight atomic.Int64
+	served   atomic.Uint64
+	shed     atomic.Uint64
 }
 
 func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, fgate *faultGate, warm *warmer, opts Options) *instance {
@@ -94,9 +87,6 @@ func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, f
 	if opts.CacheEntries > 0 {
 		ins.cache = newPredCache(opts.CacheEntries, metrics.Events())
 	}
-	if opts.BatchWindow > 0 && opts.MaxBatch > 1 {
-		ins.batcher = newBatcher(opts.BatchWindow, opts.MaxBatch)
-	}
 	if opts.QueueDepth > 0 {
 		ins.queue = make(chan struct{}, opts.QueueDepth)
 	}
@@ -108,9 +98,8 @@ func newInstance(id int, gen uint64, sys *corepythia.System, metrics *Metrics, f
 // router); the replica then resolves its own Trained handle quietly with
 // Lookup so one request never records two matching events.
 //
-// Stage order is exactly the single-server PR-6 path: bounded-queue
-// admission → workload matching → prediction cache → circuit breaker →
-// fault injection → (batched) inference → cache fill.
+// Stage order: bounded-queue admission → workload matching → prediction
+// cache → circuit breaker → fault injection → inference → cache fill.
 func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node, routed bool) (Prediction, error) {
 	p := Prediction{Replica: ins.id, Generation: ins.gen}
 	if ins.queue != nil {
@@ -194,31 +183,22 @@ func (ins *instance) predict(ctx context.Context, q plan.Query, root *plan.Node,
 	return p, nil
 }
 
-// infer runs the miss (inference) path. Stage 2 routing: a miss that arrives
-// while other misses are in flight joins the micro-batcher; otherwise it
-// runs the single-plan inference directly, so an idle replica never pays the
-// batch window. Either way the slow step runs off the caller's goroutine so
-// a disconnected client (or an expired budget) aborts the wait, not the
-// work. Context errors come back verbatim for the Server to map to 504/499.
+// infer runs the miss (inference) path: the single-plan inference starts at
+// once on its own goroutine, so a disconnected client (or an expired budget)
+// aborts the wait, not the work. Context errors come back verbatim for the
+// Server to map to 504/499.
 func (ins *instance) infer(ctx context.Context, tw *corepythia.Trained, root *plan.Node) ([]storage.PageID, error) {
-	n := ins.missInflight.Add(1)
-	defer ins.missInflight.Add(-1)
-	done := make(chan batchRes, 1)
-	if !(n > 1 && ins.batcher != nil && ins.batcher.enqueue(batchReq{tw: tw, root: root, res: done})) {
-		//pythia:goleak-ok one-shot inference; done is buffered so the sender exits even when the select below took the ctx branch
-		go func() { done <- batchRes{pages: tw.Pred.PredictParallel(root), size: 1} }()
-	}
+	done := make(chan []storage.PageID, 1)
+	//pythia:goleak-ok one-shot inference; done is buffered so the sender exits even when the select below took the ctx branch
+	go func() { done <- tw.Pred.PredictParallel(root) }()
 	select {
-	case res := <-done:
+	case pages := <-done:
 		ins.breaker.success()
 		ins.health.success()
 		if rec := ins.metrics.Events(); rec != nil {
 			rec.Record(obs.Event{Kind: obs.InferenceRun})
-			if res.size > 1 {
-				rec.Record(obs.Event{Kind: obs.InferenceBatched})
-			}
 		}
-		return ins.sys.LimitPrefetch(res.pages), nil
+		return ins.sys.LimitPrefetch(pages), nil
 	case <-ctx.Done():
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			// A deadline miss is a model-path failure; a canceled request
@@ -284,10 +264,6 @@ func (ins *instance) status() ReplicaStatus {
 		st.CacheMisses = ins.cache.misses.Load()
 		st.CacheEvictions = ins.cache.evictions.Load()
 	}
-	if ins.batcher != nil {
-		st.Batches = ins.batcher.batches.Load()
-		st.BatchedReqs = ins.batcher.batched.Load()
-	}
 	ins.qmu.Lock()
 	st.QualityScored = ins.qwin.Seen()
 	st.Precision = ins.qwin.Precision()
@@ -303,28 +279,6 @@ func (ins *instance) status() ReplicaStatus {
 // the trial request is what lets it half-open).
 func (ins *instance) serving() bool {
 	return ins.health.serving() && !ins.breaker.blocked()
-}
-
-// close stops the replica's micro-batch collector (requests keep working on
-// the direct path afterwards). Safe to call more than once.
-func (ins *instance) close() {
-	ins.closeOnce.Do(func() {
-		if ins.batcher != nil {
-			ins.batcher.close()
-		}
-	})
-}
-
-// drainInstance waits (bounded by timeout) for a superseded replica's
-// in-flight requests to finish, then tears it down. Closing a batcher whose
-// replica still has stragglers is safe — enqueue on a closed batcher reports
-// false and the request completes on the direct path.
-func drainInstance(ins *instance, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for ins.inflight.Load() > 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	ins.close()
 }
 
 // warmThrough replays the warm set through freshly built instances: pick

@@ -3,10 +3,10 @@ package serve
 // The replica pool is the serving tier's scale-out layer. One trained
 // pythia.System is snapshotted (pythia.System.Save) and decoded into N
 // independent clones, each wrapped in an instance with its own prediction
-// cache, micro-batcher, circuit breaker, and bounded work queue. A request
-// is matched once on the routing replica, fingerprinted by its encoded plan
-// (the same key the prediction cache uses), and routed through a
-// consistent-hash ring to the replica that owns that fingerprint.
+// cache, circuit breaker, and bounded work queue. A request is matched once
+// on the routing replica, fingerprinted by its encoded plan (the same key the
+// prediction cache uses), and routed through a consistent-hash ring to the
+// replica that owns that fingerprint.
 //
 // Why route by plan hash instead of round-robin: templated workloads
 // collapse to few distinct plans, so replica-affine routing means each
@@ -21,8 +21,8 @@ package serve
 // new snapshot), warms it on recently served plans, and swings one atomic
 // pointer. Requests in flight keep the generation pointer they loaded, so
 // every request runs against exactly one coherent generation — there is no
-// torn state to observe — and the superseded generation drains in the
-// background.
+// torn state to observe. A superseded generation owns no goroutines, so it
+// needs no teardown: it is collected once its last request finishes.
 
 import (
 	"bytes"
@@ -288,12 +288,6 @@ func (p *Pool) predictHedged(ctx context.Context, primary, successor *instance, 
 	}
 }
 
-// PredictBatch answers many queries concurrently, each routed independently;
-// what lands on the same replica together coalesces in its micro-batcher.
-func (p *Pool) PredictBatch(ctx context.Context, qs []plan.Query, roots []*plan.Node) ([]Prediction, error) {
-	return predictAll(ctx, p, qs, roots)
-}
-
 // Explain renders a plan without inference.
 func (p *Pool) Explain(root *plan.Node) Explanation { return explainPlan(root) }
 
@@ -322,47 +316,39 @@ func (p *Pool) BaselineID() *corepythia.BaselineID {
 }
 
 // Swap loads a snapshot into a complete standby generation (one fresh clone
-// per replica), warms it on recently served plans, atomically makes it the
-// serving generation, and drains the superseded one in the background.
-// Requests in flight complete on the generation that admitted them; a
-// request observes exactly one generation end to end, never a mix.
+// per replica), warms it on recently served plans, and atomically makes it
+// the serving generation. Requests in flight complete on the generation that
+// admitted them; a request observes exactly one generation end to end, never
+// a mix.
 //
 // The swap is transactional: if any replica fails to build its standby —
-// a corrupt or truncated snapshot (pythia.ErrSnapshotCorrupt), a version
-// mismatch, or an injected replica build fault — every standby already built
-// is torn down and the old generation keeps serving, untouched. The serving
+// a corrupt, truncated or oversized snapshot (pythia.ErrSnapshotCorrupt), a
+// version mismatch, or an injected replica build fault — the partial standby
+// is dropped and the old generation keeps serving, untouched. The serving
 // pointer only ever swings to a complete generation.
 func (p *Pool) Swap(r io.Reader) error {
 	p.swapMu.Lock()
 	defer p.swapMu.Unlock()
-	data, err := io.ReadAll(r)
+	data, err := corepythia.ReadSnapshot(r)
 	if err != nil {
 		return fmt.Errorf("serve: reading snapshot: %w", err)
 	}
 	old := p.cur.Load()
 	cfg := old.instances[0].sys.Config()
 	genID := old.id + 1
-	instances := make([]*instance, len(old.instances))
-	// rollback tears down the partial standby; the old generation was never
+	// An error return drops the partial standby; the old generation was never
 	// touched, so it keeps serving as if the swap had not been attempted.
-	rollback := func(err error) error {
-		for _, ins := range instances {
-			if ins != nil {
-				ins.close()
-			}
-		}
-		return err
-	}
+	instances := make([]*instance, len(old.instances))
 	for i := range instances {
 		if p.fgate.fireReplica(i) {
-			return rollback(fmt.Errorf("serve: building standby replica %d: %w", i, errModelFault))
+			return fmt.Errorf("serve: building standby replica %d: %w", i, errModelFault)
 		}
 		sys, err := corepythia.LoadSystem(p.db, cfg, bytes.NewReader(data))
 		if err != nil {
-			return rollback(fmt.Errorf("serve: loading snapshot into replica %d: %w", i, err))
+			return fmt.Errorf("serve: loading snapshot into replica %d: %w", i, err)
 		}
 		if i == 0 && len(sys.Workloads()) == 0 {
-			return rollback(errors.New("serve: snapshot contains no trained workloads"))
+			return errors.New("serve: snapshot contains no trained workloads")
 		}
 		if p.opts.Quantize {
 			quantizeSystem(sys)
@@ -375,18 +361,5 @@ func (p *Pool) Swap(r io.Reader) error {
 	})
 	p.cur.Store(next)
 	p.swaps.Add(1)
-	//pythia:goleak-ok drain loop is deadline-bounded: drainInstance polls in-flight counts for at most DrainTimeout per retired instance
-	go func() {
-		for _, ins := range old.instances {
-			drainInstance(ins, p.opts.DrainTimeout)
-		}
-	}()
 	return nil
-}
-
-// Close tears down the current generation's batch collectors.
-func (p *Pool) Close() {
-	for _, ins := range p.cur.Load().instances {
-		ins.close()
-	}
 }

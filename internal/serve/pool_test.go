@@ -336,15 +336,10 @@ func (s *stubInferencer) Predict(context.Context, plan.Query, *plan.Node) (Predi
 	return s.pred, s.err
 }
 
-func (s *stubInferencer) PredictBatch(ctx context.Context, qs []plan.Query, roots []*plan.Node) ([]Prediction, error) {
-	return predictAll(ctx, s, qs, roots)
-}
-
 func (s *stubInferencer) Explain(root *plan.Node) Explanation { return explainPlan(root) }
 func (s *stubInferencer) Workloads() []*corepythia.Trained    { return nil }
 func (s *stubInferencer) Status() InfStatus                   { return InfStatus{Generation: 1} }
 func (s *stubInferencer) Swap(io.Reader) error                { return nil }
-func (s *stubInferencer) Close()                              {}
 
 // TestServerWithStubInferencer: the Inferencer seam lets tests drive the HTTP
 // contract without training anything — and pins the error mapping from
@@ -412,29 +407,25 @@ func TestOptionsNormalize(t *testing.T) {
 	if norm.RequestTimeout != 5*time.Second || norm.MaxInFlight != 64 ||
 		norm.MaxBodyBytes != 1<<20 || norm.BreakerThreshold != 5 ||
 		norm.BreakerCooldown != 10*time.Second || norm.CacheEntries != 4096 ||
-		norm.BatchWindow != 2*time.Millisecond || norm.MaxBatch != 16 ||
-		norm.Replicas != 1 || norm.QueueDepth != 32 || norm.DrainTimeout != 10*time.Second ||
+		norm.Replicas != 1 || norm.QueueDepth != 32 ||
 		norm.QuarantineThreshold != 5 || norm.QuarantineBackoff != time.Second ||
 		norm.QuarantineProbes != 3 || norm.MaxFailovers != 2 || norm.HedgeAfter != 0 {
 		t.Fatalf("defaults wrong: %+v", norm)
 	}
 	norm, err = Options{MaxInFlight: -1, MaxBodyBytes: -1, CacheEntries: -1, QueueDepth: -1,
-		BatchWindow: -1, BreakerThreshold: -1, QuarantineThreshold: -1, MaxFailovers: -1}.Normalize()
+		BreakerThreshold: -1, QuarantineThreshold: -1, MaxFailovers: -1}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if norm.MaxInFlight != 0 || norm.MaxBodyBytes != 0 || norm.CacheEntries != 0 ||
-		norm.QueueDepth != 0 || norm.BatchWindow != 0 || norm.BreakerThreshold != 0 ||
+		norm.QueueDepth != 0 || norm.BreakerThreshold != 0 ||
 		norm.QuarantineThreshold != 0 || norm.MaxFailovers != 0 {
 		t.Fatalf("negatives did not disable: %+v", norm)
 	}
 
 	invalid := []Options{
 		{Replicas: -1},
-		{DrainTimeout: -time.Second},
 		{BreakerThreshold: 3, BreakerCooldown: -time.Second},
-		{MaxBatch: 8, BatchWindow: -time.Millisecond},
-		{MaxBatch: 32, MaxInFlight: 8},
 		{QuarantineThreshold: 3, QuarantineBackoff: -time.Second},
 		{HedgeAfter: -time.Millisecond, Replicas: 2},
 		{HedgeAfter: 10 * time.Millisecond},              // hedging needs a successor

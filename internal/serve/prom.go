@@ -117,9 +117,9 @@ func (s *Server) writePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# TYPE pythia_request_hedge_wins_total counter")
 	fmt.Fprintf(w, "pythia_request_hedge_wins_total %d\n", m.hedgeWins.Load())
 
-	// Inference fast path, summed across replicas. The families render whether
-	// or not the cache and batcher are enabled (zeros when disabled) so the
-	// exposition shape is independent of configuration.
+	// Prediction cache, summed across replicas. The families render whether
+	// or not the cache is enabled (zeros when disabled) so the exposition
+	// shape is independent of configuration.
 	var pcHits, pcMisses, pcEvicts uint64
 	var pcEntries, pcCap int
 	for _, r := range st.Replicas {
@@ -144,18 +144,6 @@ func (s *Server) writePrometheus(w io.Writer) {
 	fmt.Fprintln(w, "# HELP pythia_predcache_capacity Prediction-cache entry bound (0 = caching disabled).")
 	fmt.Fprintln(w, "# TYPE pythia_predcache_capacity gauge")
 	fmt.Fprintf(w, "pythia_predcache_capacity %d\n", pcCap)
-
-	var batches, batched uint64
-	for _, r := range st.Replicas {
-		batches += r.Batches
-		batched += r.BatchedReqs
-	}
-	fmt.Fprintln(w, "# HELP pythia_inference_batches_total Multi-request batched forward passes dispatched.")
-	fmt.Fprintln(w, "# TYPE pythia_inference_batches_total counter")
-	fmt.Fprintf(w, "pythia_inference_batches_total %d\n", batches)
-	fmt.Fprintln(w, "# HELP pythia_batched_requests_total Requests served inside a multi-request batch.")
-	fmt.Fprintln(w, "# TYPE pythia_batched_requests_total counter")
-	fmt.Fprintf(w, "pythia_batched_requests_total %d\n", batched)
 
 	fmt.Fprintln(w, "# HELP pythia_breaker_state Worst circuit-breaker state across replicas (0=closed, 1=half_open, 2=open).")
 	fmt.Fprintln(w, "# TYPE pythia_breaker_state gauge")

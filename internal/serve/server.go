@@ -109,15 +109,6 @@ type Options struct {
 	// identical plans answer from it without running inference. Default 4096
 	// entries per replica; negative disables caching.
 	CacheEntries int
-	// BatchWindow is how long a cache miss waits to coalesce with other
-	// concurrent misses into one batched forward pass. Only misses that
-	// arrive while another miss is in flight wait at all — an idle server
-	// always takes the direct path. Default 2ms; negative disables
-	// micro-batching.
-	BatchWindow time.Duration
-	// MaxBatch caps how many misses coalesce into one batched pass; a full
-	// batch dispatches before the window elapses. Default 16.
-	MaxBatch int
 	// Quantize switches every trained model to int8 inference at server
 	// construction (per-tensor symmetric weights; see nn.QuantizeMat).
 	// Irreversible for the process lifetime of the models.
@@ -137,11 +128,6 @@ type Options struct {
 	// and SIGHUP reloads (a pythia.System.Save bundle). Empty means reloads
 	// must name a path explicitly.
 	SnapshotPath string
-	// DrainTimeout bounds how long a superseded generation waits for its
-	// in-flight requests after a model swap before its batch collector is
-	// torn down (requests still complete on the direct path afterwards).
-	// Default 10s; negative is rejected by Normalize.
-	DrainTimeout time.Duration
 	// QuarantineThreshold is the failure count, within a replica's sliding
 	// outcome window, that quarantines the replica: the ring fails its shard
 	// over to successors and only backoff-gated probes reach it until probes
@@ -182,14 +168,8 @@ func (o Options) Normalize() (Options, error) {
 	if o.Replicas < 0 {
 		return o, fmt.Errorf("serve: Replicas must be >= 0, got %d", o.Replicas)
 	}
-	if o.DrainTimeout < 0 {
-		return o, fmt.Errorf("serve: negative DrainTimeout %v", o.DrainTimeout)
-	}
 	if o.BreakerThreshold > 0 && o.BreakerCooldown < 0 {
 		return o, fmt.Errorf("serve: BreakerThreshold %d with disabled BreakerCooldown: an open breaker could never half-open (disable the breaker with a negative threshold instead)", o.BreakerThreshold)
-	}
-	if o.MaxBatch > 1 && o.BatchWindow < 0 {
-		return o, fmt.Errorf("serve: MaxBatch %d with micro-batching disabled (negative BatchWindow)", o.MaxBatch)
 	}
 	if o.QuarantineThreshold > 0 && o.QuarantineBackoff < 0 {
 		return o, fmt.Errorf("serve: QuarantineThreshold %d with disabled QuarantineBackoff: a quarantined replica could never be probed (disable health tracking with a negative threshold instead)", o.QuarantineThreshold)
@@ -199,9 +179,6 @@ func (o Options) Normalize() (Options, error) {
 	}
 	if o.HedgeAfter > 0 && o.Replicas >= 0 && o.Replicas <= 1 {
 		return o, fmt.Errorf("serve: HedgeAfter %v requires Replicas > 1: a single replica has no successor to hedge on", o.HedgeAfter)
-	}
-	if o.MaxBatch > 0 && o.MaxInFlight > 0 && o.MaxBatch > o.MaxInFlight {
-		return o, fmt.Errorf("serve: MaxBatch %d exceeds MaxInFlight %d: a full batch could never assemble", o.MaxBatch, o.MaxInFlight)
 	}
 	def := func(v, d time.Duration) time.Duration {
 		if v == 0 {
@@ -229,18 +206,11 @@ func (o Options) Normalize() (Options, error) {
 	case o.BreakerThreshold < 0:
 		o.BreakerThreshold = 0
 	}
-	o.BatchWindow = def(o.BatchWindow, 2*time.Millisecond)
 	switch {
 	case o.CacheEntries == 0:
 		o.CacheEntries = 4096
 	case o.CacheEntries < 0:
 		o.CacheEntries = 0
-	}
-	switch {
-	case o.MaxBatch == 0:
-		o.MaxBatch = 16
-	case o.MaxBatch < 1:
-		o.MaxBatch = 1
 	}
 	if o.Replicas == 0 {
 		o.Replicas = 1
@@ -250,9 +220,6 @@ func (o Options) Normalize() (Options, error) {
 		o.QueueDepth = 32
 	case o.QueueDepth < 0:
 		o.QueueDepth = 0
-	}
-	if o.DrainTimeout == 0 {
-		o.DrainTimeout = 10 * time.Second
 	}
 	switch {
 	case o.QuarantineThreshold == 0:
@@ -297,9 +264,8 @@ type Server struct {
 	qmu     sync.Mutex
 	qwin    *quality.Window
 
-	inflight  atomic.Int64
-	draining  atomic.Bool
-	closeOnce sync.Once
+	inflight atomic.Int64
+	draining atomic.Bool
 }
 
 // New assembles a server over a database and its trained system, building a
@@ -348,12 +314,10 @@ func NewWithInferencer(db *catalog.Database, inf Inferencer, metrics *Metrics, o
 		qwin: quality.NewWindow(qualityWindowSize)}, nil
 }
 
-// Close tears down the inferencer's background machinery (micro-batch
-// collectors; requests keep working on the direct path afterwards). Safe to
-// call more than once.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() { s.inf.Close() })
-}
+// Close releases the server's resources. The model tier starts no
+// goroutine that outlives its request, so there is nothing to release today;
+// Close stays the one shutdown call, safe to call more than once.
+func (s *Server) Close() {}
 
 // Options returns the server's resolved effective options.
 func (s *Server) Options() Options { return s.opts }
@@ -379,7 +343,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 func (s *Server) SetFault(inj *fault.Injector) { s.fgate.set(inj) }
 
 // inst returns the current first replica for tests that reach into the
-// model path (cache, batcher, breaker state). Nil for stubbed Inferencers.
+// model path (cache, breaker state). Nil for stubbed Inferencers.
 func (s *Server) inst() *instance {
 	switch v := s.inf.(type) {
 	case *Single:
@@ -776,7 +740,6 @@ type statsResponse struct {
 	Swaps                  uint64            `json:"swaps"`
 	Replicas               []ReplicaStatus   `json:"replicas"`
 	PredCache              *predCacheStats   `json:"predcache,omitempty"`
-	Batching               *batchingStats    `json:"batching,omitempty"`
 	// Quality aggregates the feedback-scored prediction quality server-wide;
 	// per-replica views are in the replicas rows. Always present — zeros mean
 	// "no feedback yet", and rendering the block unconditionally keeps the
@@ -864,15 +827,6 @@ type predCacheStats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// batchingStats is the /stats view of the micro-batchers, summed across
-// replicas.
-type batchingStats struct {
-	WindowMS        float64 `json:"window_ms"`
-	MaxBatch        int     `json:"max_batch"`
-	Batches         uint64  `json:"batches"`
-	BatchedRequests uint64  `json:"batched_requests"`
-}
-
 // worstBreakerState returns the most-degraded breaker state across replicas
 // (open > half_open > closed) — the single-gauge view a fleet dashboard
 // alerts on; per-replica states are in the replicas rows.
@@ -950,17 +904,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			pc.Evictions += r.CacheEvictions
 		}
 		resp.PredCache = pc
-	}
-	if s.opts.BatchWindow > 0 && s.opts.MaxBatch > 1 {
-		bt := &batchingStats{
-			WindowMS: float64(s.opts.BatchWindow.Microseconds()) / 1000,
-			MaxBatch: s.opts.MaxBatch,
-		}
-		for _, r := range st.Replicas {
-			bt.Batches += r.Batches
-			bt.BatchedRequests += r.BatchedReqs
-		}
-		resp.Batching = bt
 	}
 	writeJSON(w, resp)
 }

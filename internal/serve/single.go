@@ -15,8 +15,8 @@ import (
 // Single is the one-replica Inferencer: the deployment shape the server had
 // before the replica pool, now with the same zero-downtime Swap contract.
 // The serving instance sits behind an atomic pointer; Swap builds a standby
-// instance from a snapshot, warms it on recently served plans, swings the
-// pointer, and drains the old instance in the background.
+// instance from a snapshot, warms it on recently served plans, and swings
+// the pointer.
 type Single struct {
 	db      *catalog.Database
 	metrics *Metrics
@@ -59,12 +59,6 @@ func (s *Single) Predict(ctx context.Context, q plan.Query, root *plan.Node) (Pr
 	return s.cur.Load().predict(ctx, q, root, false)
 }
 
-// PredictBatch answers many queries concurrently on the current instance
-// (concurrent misses coalesce in its micro-batcher).
-func (s *Single) PredictBatch(ctx context.Context, qs []plan.Query, roots []*plan.Node) ([]Prediction, error) {
-	return predictAll(ctx, s, qs, roots)
-}
-
 // Explain renders a plan without inference.
 func (s *Single) Explain(root *plan.Node) Explanation { return explainPlan(root) }
 
@@ -82,10 +76,9 @@ func (s *Single) Status() InfStatus {
 }
 
 // Swap loads a pythia.System snapshot (pythia.System.Save) into a standby
-// instance, warms its caches on recently served plans, atomically makes it
-// the serving instance, and drains the old one in the background. In-flight
-// requests finish on the instance that admitted them; no request ever sees
-// a half-loaded model.
+// instance, warms its caches on recently served plans, and atomically makes
+// it the serving instance. In-flight requests finish on the instance that
+// admitted them; no request ever sees a half-loaded model.
 func (s *Single) Swap(r io.Reader) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -104,14 +97,9 @@ func (s *Single) Swap(r io.Reader) error {
 	warmThrough(s.warm.snapshot(), s.opts.RequestTimeout, func(uint64) *instance { return next })
 	s.cur.Store(next)
 	s.swaps.Add(1)
-	//pythia:goleak-ok drain is deadline-bounded: drainInstance polls in-flight counts for at most DrainTimeout before force-closing
-	go drainInstance(old, s.opts.DrainTimeout)
 	return nil
 }
 
 // BaselineID reports the serving system's drift-baseline identity (nil when
 // untrained or the snapshot predates baselines).
 func (s *Single) BaselineID() *corepythia.BaselineID { return s.cur.Load().sys.BaselineID() }
-
-// Close tears down the current instance's batch collector.
-func (s *Single) Close() { s.cur.Load().close() }
